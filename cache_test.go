@@ -392,6 +392,62 @@ func TestResultCacheEquivalenceStream(t *testing.T) {
 	}
 }
 
+// TestResultCachePatchedRowsNotAliased: the caller owns Query's rows.
+// A cached entry patched in place by a later insert must not share spare
+// capacity with them, or a caller appending to its old result would
+// overwrite the patched row of every later cached serve.
+func TestResultCachePatchedRowsNotAliased(t *testing.T) {
+	build := func(cache bool) *DB {
+		db := NewDB()
+		db.SetResultCache(cache)
+		db.MustCreateTable("u", "k INT", "v INT")
+		for i := 0; i < 11; i++ {
+			db.MustInsert("u", 1, i)
+		}
+		db.MustRegisterConstraint("u({k} -> {v}, 100)")
+		return db
+	}
+	cached, twin := build(true), build(false)
+	sql := "SELECT v FROM u WHERE k = 1"
+
+	res, err := cached.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cached.ResultCacheStats(); st.Stores != 1 {
+		t.Fatalf("cold query did not store: %+v", st)
+	}
+	for _, db := range []*DB{cached, twin} {
+		if err := db.Insert("u", 1, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := cached.ResultCacheStats(); st.Patches != 1 {
+		t.Fatalf("insert did not patch the entry: %+v", st)
+	}
+	res.Rows = append(res.Rows, Row{value.NewInt(-1)})
+
+	got, err := cached.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := twin.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Stats.CacheHit {
+		t.Fatal("query after the patch did not serve from the cache")
+	}
+	if len(got.Rows) != len(want.Rows) {
+		t.Fatalf("cached serve has %d rows, uncached %d", len(got.Rows), len(want.Rows))
+	}
+	for i := range got.Rows {
+		if value.Key(got.Rows[i]) != value.Key(want.Rows[i]) {
+			t.Fatalf("cached row %d = %v, uncached %v", i, got.Rows[i], want.Rows[i])
+		}
+	}
+}
+
 // TestPlanCacheBoundedGrowth floods the template tier with distinct
 // statement texts and requires its byte accounting to hold the
 // configured budget — the regression the unbounded sync.Map plan cache

@@ -23,9 +23,10 @@ func NewDigestSet(topK int) *DigestSet { return obs.NewDigestSet(topK) }
 
 // SetDigests installs (or, with nil, removes) the workload digest set.
 // Every finished Query/QueryIter/QueryApprox execution — including
-// cancellations and failures after analysis — folds into it. Like
-// SetTracer this is atomic: it never blocks queries in flight, and a
-// disabled digest layer costs the query path one atomic load.
+// cancellations and statements that fail before they execute — folds
+// into it. Like SetTracer this is atomic: it never blocks queries in
+// flight, and a disabled digest layer costs the query path one atomic
+// load.
 func (db *DB) SetDigests(d *DigestSet) { db.digests.Store(d) }
 
 // Digests returns the installed digest set, or nil when disabled.
@@ -70,16 +71,4 @@ func digestObservation(fp, sql string, st *Stats, rows int64, err error, dur tim
 		}
 	}
 	return o
-}
-
-// observeQueryDigest folds a materialized Result (or its terminal
-// error) into the digests.
-func observeQueryDigest(d *obs.DigestSet, fp, sql string, res *Result, err error, dur time.Duration) {
-	var st *Stats
-	var rows int64
-	if res != nil {
-		st = &res.Stats
-		rows = int64(len(res.Rows))
-	}
-	d.Observe(digestObservation(fp, sql, st, rows, err, dur))
 }

@@ -69,11 +69,15 @@ func (db *DB) ExplainAnalyze(sql string) (*ExplainAnalysis, error) {
 // halts the execution like QueryContext; the analysis then reflects only
 // the work performed.
 func (db *DB) ExplainAnalyzeContext(ctx context.Context, sql string) (*ExplainAnalysis, error) {
-	res, err := db.QueryContext(ctx, sql)
+	ri, err := db.openCursor(ctx, sql, true)
 	if err != nil {
 		return nil, err
 	}
-	return NewExplainAnalysis(sql, &res.Stats, len(res.Rows)), nil
+	res, err := ri.drain(false)
+	if err != nil {
+		return nil, err
+	}
+	return NewExplainAnalysis(sql, &res.Stats, int(ri.rowsOut)), nil
 }
 
 // NewExplainAnalysis folds an executed query's statistics into the

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"github.com/bounded-eval/beas/internal/analyze"
 	"github.com/bounded-eval/beas/internal/engine"
+	"github.com/bounded-eval/beas/internal/iter"
 	"github.com/bounded-eval/beas/internal/value"
 )
 
@@ -22,6 +25,21 @@ func seedPartial(t *testing.T) *env {
 	e.insert(t, "call", vi(503), vi(102), vi(1), vs("east"))
 	e.constraint(t, "business({type, region} -> pnum, 2000)")
 	return e
+}
+
+// collectPartial streams a partially bounded plan to exhaustion; the
+// engine statistics are final once the iterator is drained.
+func collectPartial(t *testing.T, pp *PartialPlan, q *analyze.Query, eng *engine.Engine) ([]value.Row, *Stats, *engine.Stats) {
+	t.Helper()
+	it, subStats, engStats, err := StreamPartialContext(context.Background(), pp, q, eng, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, _, err := iter.Collect(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows, subStats, engStats
 }
 
 const partialSQL = `
@@ -63,10 +81,7 @@ func TestPartialPlanExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := engine.New(e.store, engine.ProfilePostgres)
-	rows, subStats, engStats, err := RunPartial(pp, q, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, subStats, engStats := collectPartial(t, pp, q, eng)
 	// banks 100 (2 calls) and 101 (1 call); shop 102 excluded.
 	if len(rows) != 2 {
 		t.Fatalf("rows = %v", rows)
@@ -108,10 +123,7 @@ func TestPartialPlanNoFetchableAtom(t *testing.T) {
 		t.Errorf("Describe = %q", pp.Describe(q))
 	}
 	eng := engine.New(e.store, engine.ProfilePostgres)
-	rows, _, _, err := RunPartial(pp, q, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, _, _ := collectPartial(t, pp, q, eng)
 	if len(rows) != 1 || rows[0][0].S != "east" {
 		t.Errorf("rows = %v", rows)
 	}
@@ -139,10 +151,7 @@ func TestPartialPreservesWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := engine.New(e.store, engine.ProfilePostgres)
-	rows, _, _, err := RunPartial(pp, q, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, _, _ := collectPartial(t, pp, q, eng)
 	convRows, _, err := eng.Run(q)
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,6 @@ import (
 	"github.com/bounded-eval/beas/internal/obs"
 	"github.com/bounded-eval/beas/internal/qcache"
 	"github.com/bounded-eval/beas/internal/sqlparser"
-	"github.com/bounded-eval/beas/internal/storage"
 	"github.com/bounded-eval/beas/internal/value"
 )
 
@@ -235,9 +234,9 @@ func satAdd(a, b uint64) uint64 {
 // Query evaluates sql, preferring bounded evaluation: a covered query (or
 // UNION branch) runs through a bounded plan; otherwise a partially
 // bounded plan runs its covered sub-query boundedly and delegates the
-// rest to the conventional engine.
+// rest to the conventional engine. It is QueryIter drained.
 func (db *DB) Query(sql string) (*Result, error) {
-	return db.query(context.Background(), sql, true)
+	return db.QueryContext(context.Background(), sql)
 }
 
 // QueryContext is Query under a context: cancellation or deadline expiry
@@ -245,257 +244,26 @@ func (db *DB) Query(sql string) (*Result, error) {
 // and returns ctx's error. The statistics of a cancelled query reflect
 // only the work actually performed.
 func (db *DB) QueryContext(ctx context.Context, sql string) (*Result, error) {
-	return db.query(ctx, sql, true)
+	ri, err := db.openCursor(ctx, sql, true)
+	if err != nil {
+		return nil, err
+	}
+	return ri.drain(true)
 }
 
 // QueryBounded evaluates sql with a bounded plan only, failing when the
 // query is not covered by the access schema.
 func (db *DB) QueryBounded(sql string) (*Result, error) {
-	return db.query(context.Background(), sql, false)
+	return db.QueryBoundedContext(context.Background(), sql)
 }
 
 // QueryBoundedContext is QueryBounded under a context.
 func (db *DB) QueryBoundedContext(ctx context.Context, sql string) (*Result, error) {
-	return db.query(ctx, sql, false)
-}
-
-// query runs queryEval and, when workload digests are enabled, folds
-// the statement's terminal outcome into the per-fingerprint aggregates.
-// With digests off the only cost is one atomic load.
-func (db *DB) query(ctx context.Context, sql string, allowFallback bool) (*Result, error) {
-	dig := db.digests.Load()
-	if dig == nil {
-		return db.queryEval(ctx, sql, allowFallback, nil)
-	}
-	start := time.Now()
-	var fp string
-	res, err := db.queryEval(ctx, sql, allowFallback, &fp)
-	observeQueryDigest(dig, fp, sql, res, err, time.Since(start))
-	return res, err
-}
-
-// queryEval is the evaluation core behind Query/QueryBounded. When
-// fpOut is non-nil it receives the statement's canonical fingerprint as
-// soon as analysis succeeds, so the caller can attribute errors that
-// happen after parse to the right digest entry.
-func (db *DB) queryEval(ctx context.Context, sql string, allowFallback bool, fpOut *string) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ctx, finish := db.startTrace(ctx, "query", sql)
-	defer finish()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	tmpl, err := db.parseSpanLocked(ctx, sql)
+	ri, err := db.openCursor(ctx, sql, false)
 	if err != nil {
 		return nil, err
 	}
-	if fpOut != nil {
-		*fpOut = tmpl.Fingerprint
-	}
-	p := tmpl.Parsed.(*parsed)
-	start := time.Now()
-
-	// Semantic result cache: serve a fresh materialized answer before
-	// even running the checker. A hit is only possible for fully covered
-	// statements, so the fallback policy cannot differ.
-	cacheOn := db.qc.ResultsEnabled()
-	if cacheOn {
-		_, sp := obs.StartSpan(ctx, "cache")
-		if cr, ok := db.qc.GetResult(tmpl.ResultKey); ok {
-			sp.Set("hit", true)
-			sp.End()
-			res := db.serveCachedLocked(&cr, start)
-			res.Stats.Fingerprint = tmpl.Fingerprint
-			return res, nil
-		}
-		sp.Set("hit", false)
-		sp.End()
-	}
-
-	// Storing an answer needs every base-table version from *before*
-	// execution: Store re-checks them so an interleaved mutation can
-	// never be double-counted (once in the answer, once as a patch).
-	cacheable := cacheOn
-	var tvs []qcache.TableVersion
-	if cacheable {
-		seen := make(map[*storage.Table]bool)
-		for _, q := range p.branches {
-			for _, a := range q.Atoms {
-				t, ok := db.store.Table(a.Rel.Name)
-				if !ok {
-					cacheable = false
-					break
-				}
-				if !seen[t] {
-					seen[t] = true
-					tvs = append(tvs, qcache.TableVersion{Table: t, Version: t.Version()})
-				}
-			}
-		}
-	}
-
-	res := &Result{Columns: p.branches[0].OutputNames(), Stats: Stats{Mode: ModeBounded, Covered: true, Optimized: db.optzr != nil, Fingerprint: tmpl.Fingerprint}}
-	var rows []value.Row
-	var cacheSteps []core.StepStat
-	var regs []qcache.StepReg
-	var firstPlan *core.Plan
-	for i, q := range p.branches {
-		chk := db.checkSpanLocked(ctx, q)
-		var branchRows []value.Row
-		switch {
-		case chk.Covered:
-			plan, err := core.NewPlan(q, chk)
-			if err != nil {
-				return nil, err
-			}
-			plan.CollectKeys = cacheable
-			var st *core.Stats
-			branchRows, st, err = db.runBounded(ctx, plan, chk, res)
-			if err != nil {
-				return nil, err
-			}
-			if cacheable {
-				if i == 0 {
-					firstPlan = plan
-				}
-				for si := range plan.Steps {
-					t, ok := db.store.Table(q.Atoms[plan.Steps[si].Atom].Rel.Name)
-					if !ok {
-						cacheable = false
-						break
-					}
-					var keys []string
-					if st.StepKeys != nil {
-						keys = st.StepKeys[si]
-					}
-					regs = append(regs, qcache.StepReg{Table: t, Step: &plan.Steps[si], Keys: keys, StatIdx: len(cacheSteps) + si})
-				}
-				cacheSteps = append(cacheSteps, st.Steps...)
-			}
-		case allowFallback:
-			cacheable = false
-			var err error
-			branchRows, err = db.runPartial(ctx, q, chk, res)
-			if err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("beas: query is not covered by the access schema: %s", chk.Reason)
-		}
-		if i > 0 && !p.unionAll[i] {
-			rows = exec.Dedup(append(rows, branchRows...))
-		} else {
-			rows = append(rows, branchRows...)
-		}
-	}
-	res.Rows = rows
-	if cacheable {
-		db.qc.Store(&qcache.StoreRequest{
-			Key: tmpl.ResultKey,
-			Result: &qcache.CachedResult{
-				Columns:         res.Columns,
-				Rows:            rows,
-				Bound:           res.Stats.Bound,
-				ConstraintsUsed: res.Stats.ConstraintsUsed,
-				TuplesFetched:   res.Stats.TuplesFetched,
-				Steps:           cacheSteps,
-				Plan:            res.Stats.Plan,
-				Optimized:       res.Stats.Optimized,
-			},
-			Branches:    len(p.branches),
-			Query:       p.branches[0],
-			Plan:        firstPlan,
-			Steps:       regs,
-			Tables:      tvs,
-			OptimizerOn: db.optzr != nil,
-		})
-	}
-	res.Stats.Duration = time.Since(start)
-	if res.Stats.Mode == ModeBounded && res.Stats.TuplesFetched == 0 && res.Stats.Bound == 0 {
-		res.Stats.Mode = ModeEmpty
-	}
-	return res, nil
-}
-
-// serveCachedLocked materializes a Result from a cache hit. Everything
-// data-derived — rows, order, bound, fetch statistics — is the stored
-// (patch-maintained) answer; Duration is this serve and CacheHit marks
-// the result. Callers hold db.mu (read suffices).
-func (db *DB) serveCachedLocked(cr *qcache.CachedResult, start time.Time) *Result {
-	res := &Result{Columns: cr.Columns, Rows: cr.Rows, Stats: Stats{
-		Mode:            ModeBounded,
-		Covered:         true,
-		Optimized:       db.optzr != nil,
-		Bound:           cr.Bound,
-		ConstraintsUsed: cr.ConstraintsUsed,
-		TuplesFetched:   cr.TuplesFetched,
-		Plan:            cr.Plan,
-		CacheHit:        true,
-	}}
-	for _, s := range cr.Steps {
-		res.Stats.FetchSteps = append(res.Stats.FetchSteps, StepStat(s))
-	}
-	res.Stats.Duration = time.Since(start)
-	if res.Stats.TuplesFetched == 0 && res.Stats.Bound == 0 {
-		res.Stats.Mode = ModeEmpty
-	}
-	return res
-}
-
-// runBounded executes a bounded plan — across db.par workers when
-// parallelism is on — and folds its statistics into res. The raw
-// executor stats are also returned for result-cache registration.
-func (db *DB) runBounded(ctx context.Context, plan *core.Plan, chk *core.CheckResult, res *Result) ([]value.Row, *core.Stats, error) {
-	db.vecPlanLocked(plan)
-	ectx, esp := obs.StartSpan(ctx, "execute")
-	rows, st, err := core.RunParallelContext(ectx, plan, db.par)
-	esp.Set("mode", "bounded").Set("fetched", st.Fetched).Set("rows", st.RowsOut)
-	esp.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Stats.Bound = satAdd(res.Stats.Bound, chk.TotalBound)
-	res.Stats.ConstraintsUsed += chk.ConstraintsUsed
-	res.Stats.TuplesFetched += st.Fetched
-	for _, s := range st.Steps {
-		res.Stats.FetchSteps = append(res.Stats.FetchSteps, StepStat(s))
-	}
-	res.Stats.Plan += plan.Describe()
-	return rows, st, nil
-}
-
-// runPartial executes a partially bounded plan and folds statistics.
-func (db *DB) runPartial(ctx context.Context, q *analyze.Query, chk *core.CheckResult, res *Result) ([]value.Row, error) {
-	pp, err := core.NewPartialPlan(q, chk)
-	if err != nil {
-		return nil, err
-	}
-	ectx, esp := obs.StartSpan(ctx, "execute")
-	rows, subStats, engStats, err := core.RunPartialContext(ectx, pp, q, db.fallback, db.par)
-	if subStats != nil && engStats != nil {
-		esp.Set("mode", "partial").Set("fetched", subStats.Fetched).Set("scanned", engStats.Scanned)
-	}
-	esp.End()
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.Covered = false
-	if pp.Sub != nil {
-		res.Stats.Mode = ModePartial
-	} else {
-		res.Stats.Mode = ModeConventional
-	}
-	res.Stats.TuplesFetched += subStats.Fetched
-	res.Stats.TuplesScanned += engStats.Scanned
-	for _, s := range subStats.Steps {
-		res.Stats.FetchSteps = append(res.Stats.FetchSteps, StepStat(s))
-	}
-	for _, o := range engStats.Ops {
-		res.Stats.Ops = append(res.Stats.Ops, OpStat(o))
-	}
-	res.Stats.Plan += pp.Describe(q)
-	return rows, nil
+	return ri.drain(true)
 }
 
 // QueryBaseline evaluates sql purely conventionally under one of the
@@ -566,7 +334,12 @@ func (db *DB) QueryApproxContext(ctx context.Context, sql string, budget int64) 
 	start := time.Now()
 	var fp string
 	res, cov, err := db.queryApprox(ctx, sql, budget, &fp)
-	observeQueryDigest(dig, fp, sql, res, err, time.Since(start))
+	var st *Stats
+	var rows int64
+	if res != nil {
+		st, rows = &res.Stats, int64(len(res.Rows))
+	}
+	dig.Observe(digestObservation(fp, sql, st, rows, err, time.Since(start)))
 	return res, cov, err
 }
 

@@ -15,9 +15,10 @@ import (
 )
 
 // RowIter is a streaming cursor over a query result: batches of rows are
-// produced on demand by the same pull pipeline Query uses, so the full
-// result — and the intermediate relations feeding it — are never
-// materialised at once. Iterate with NextBatch (or the per-row Next) and
+// produced on demand by a pull pipeline, so the full result — and the
+// intermediate relations feeding it — are never materialised at once.
+// It is the one evaluator behind Query, QueryBounded and ExplainAnalyze,
+// which drain it. Iterate with NextBatch (or the per-row Next) and
 // always Close when done; abandoning the cursor early (e.g. after the
 // first batch of a huge join) stops the underlying scans and index
 // probes.
@@ -30,13 +31,12 @@ import (
 // indices. Close is idempotent and is called automatically when the
 // stream is exhausted or errors.
 type RowIter struct {
-	db      *DB
-	columns []string
-	it      iter.Iterator
-	res     *Result
-	final   []func() // fold per-branch execution stats into res at close
-	finish  func()   // finish the trace this cursor started (nil-safe set)
-	start   time.Time
+	db     *DB
+	it     iter.Iterator
+	res    *Result
+	final  []func() // fold per-branch execution stats into res at close, in branch order
+	finish func()   // finish the trace this cursor started (a no-op when it started none)
+	start  time.Time
 
 	batch  iter.Batch
 	rows   []Row // per-row cursor state for Next
@@ -47,7 +47,8 @@ type RowIter struct {
 
 	// Workload-digest state: the set installed when the cursor opened,
 	// the statement text and a count of rows actually streamed. The
-	// observation happens once, at Close, with the terminal outcome.
+	// observation happens once, with the terminal outcome: at Close, or
+	// when the statement fails before its cursor opens.
 	digests *obs.DigestSet
 	sql     string
 	rowsOut int64
@@ -55,14 +56,13 @@ type RowIter struct {
 	// Store-on-drain state for the semantic result cache. A cursor that
 	// streams a fully covered statement to exhaustion has materialised
 	// the complete bounded answer anyway (it is at most the deduced
-	// bound M rows), so Close admits it exactly like Query does; an
-	// abandoned or failed cursor has a partial answer and never stores.
+	// bound M rows), so Close admits it; an abandoned or failed cursor
+	// has a partial answer and never stores.
 	cacheOK   bool
 	cacheKey  string
 	cacheTvs  []qcache.TableVersion
 	cacheBr   []cachedBranch
-	branches  int
-	cacheRows []value.Row
+	cacheRows []value.Row // private to the cursor: never a caller's Result.Rows
 	drained   bool
 }
 
@@ -76,8 +76,8 @@ type cachedBranch struct {
 
 // QueryIter evaluates sql exactly like Query — bounded when covered,
 // partially bounded or conventional otherwise, per UNION branch — but
-// returns a streaming cursor instead of a materialised Result. The two
-// produce identical row bags; QueryIter additionally guarantees that a
+// returns a streaming cursor instead of a materialised Result. Query is
+// this cursor drained; QueryIter additionally guarantees that a
 // consumer which stops early never pays for the rows it did not read.
 func (db *DB) QueryIter(sql string) (*RowIter, error) {
 	return db.QueryIterContext(context.Background(), sql)
@@ -90,68 +90,90 @@ func (db *DB) QueryIter(sql string) (*RowIter, error) {
 // release the catalog read lock); its statistics then reflect only the
 // work performed before the cancellation.
 func (db *DB) QueryIterContext(ctx context.Context, sql string) (*RowIter, error) {
-	if err := ctx.Err(); err != nil {
+	return db.openCursor(ctx, sql, true)
+}
+
+// openCursor analyses sql and plans every UNION branch into an unopened
+// cursor that holds the catalog read lock until Close. allowFallback
+// selects the policy for an uncovered branch: a partially bounded (or
+// conventional) plan, or rejection of the whole statement before any
+// branch executes. A statement that fails here — parse, analysis, a
+// cancelled ctx, an eager sub-plan — is folded into the digests.
+func (db *DB) openCursor(ctx context.Context, sql string, allowFallback bool) (*RowIter, error) {
+	ri := &RowIter{db: db, sql: sql, digests: db.digests.Load()}
+	start := time.Now()
+	err := ctx.Err()
+	if err == nil {
+		ctx, ri.finish = db.startTrace(ctx, "query", sql)
+		db.mu.RLock()
+		if err = ri.planLocked(ctx, allowFallback); err != nil {
+			db.mu.RUnlock()
+			ri.finish()
+		}
+	}
+	if err != nil {
+		ri.observe(nil, err, time.Since(start))
 		return nil, err
 	}
-	ctx, finishTrace := db.startTrace(ctx, "query", sql)
-	db.mu.RLock()
-	ok := false
-	defer func() {
-		if !ok {
-			db.mu.RUnlock()
-			finishTrace()
-		}
-	}()
-	tmpl, err := db.parseSpanLocked(ctx, sql)
+	return ri, nil
+}
+
+// planLocked builds the cursor's pipeline. Callers hold db.mu (read).
+func (ri *RowIter) planLocked(ctx context.Context, allowFallback bool) error {
+	db := ri.db
+	tmpl, err := db.parseSpanLocked(ctx, ri.sql)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	p := tmpl.Parsed.(*parsed)
-
-	ri := &RowIter{
-		db:      db,
-		columns: p.branches[0].OutputNames(),
-		start:   time.Now(),
-		res:     &Result{Columns: p.branches[0].OutputNames(), Stats: Stats{Mode: ModeBounded, Covered: true, Optimized: db.optzr != nil, Fingerprint: tmpl.Fingerprint}},
-		digests: db.digests.Load(),
-		sql:     sql,
-	}
-	ri.finish = finishTrace
+	ri.res = &Result{Columns: p.branches[0].OutputNames(), Stats: Stats{Mode: ModeBounded, Covered: true, Optimized: db.optzr != nil, Fingerprint: tmpl.Fingerprint}}
+	ri.start = time.Now()
 
 	// Semantic result cache: a fresh materialized answer streams from the
-	// snapshot instead of re-executing. On a miss the cursor accumulates
-	// the bounded answer as it drains and stores it at Close — but only
-	// when the consumer read the stream to exhaustion without error.
-	if db.qc.ResultsEnabled() {
+	// snapshot instead of re-executing. A hit is only possible for fully
+	// covered statements, so the fallback policy cannot differ.
+	cacheOn := db.qc.ResultsEnabled()
+	if cacheOn {
 		_, sp := obs.StartSpan(ctx, "cache")
-		if cr, hit := db.qc.GetResult(tmpl.ResultKey); hit {
-			sp.Set("hit", true)
-			sp.End()
+		cr, hit := db.qc.GetResult(tmpl.ResultKey)
+		sp.Set("hit", hit)
+		sp.End()
+		if hit {
 			ri.res.Stats.Bound = cr.Bound
 			ri.res.Stats.ConstraintsUsed = cr.ConstraintsUsed
 			ri.res.Stats.Plan = cr.Plan
 			ri.res.Stats.CacheHit = true
-			tf := cr.TuplesFetched
-			steps := cr.Steps
 			ri.final = append(ri.final, func() {
-				ri.res.Stats.TuplesFetched += tf
-				for _, s := range steps {
+				ri.res.Stats.TuplesFetched += cr.TuplesFetched
+				for _, s := range cr.Steps {
 					ri.res.Stats.FetchSteps = append(ri.res.Stats.FetchSteps, StepStat(s))
 				}
 			})
 			ri.it = iter.FromRows(cr.Rows, nil)
-			ok = true
-			return ri, nil
+			return nil
 		}
-		sp.Set("hit", false)
-		sp.End()
+	}
+
+	// Check every branch before executing any, so a strict statement is
+	// rejected without running (eagerly, in parallel mode) its covered
+	// branches.
+	var buf [4]*core.CheckResult // keeps a short statement's verdicts off the heap
+	checks := buf[:0]
+	cacheable := cacheOn
+	for _, q := range p.branches {
+		chk := db.checkSpanLocked(ctx, q)
+		if !chk.Covered {
+			if !allowFallback {
+				return fmt.Errorf("beas: query is not covered by the access schema: %s", chk.Reason)
+			}
+			cacheable = false
+		}
+		checks = append(checks, chk)
 	}
 
 	// Storing needs every base-table version from *before* execution:
 	// Store re-checks them so a mutation interleaved with the drain can
 	// never be double-counted (once in the answer, once as a patch).
-	cacheable := db.qc.ResultsEnabled()
-	var tvs []qcache.TableVersion
 	if cacheable {
 		seen := make(map[*storage.Table]bool)
 		for _, q := range p.branches {
@@ -163,19 +185,19 @@ func (db *DB) QueryIterContext(ctx context.Context, sql string) (*RowIter, error
 				}
 				if !seen[t] {
 					seen[t] = true
-					tvs = append(tvs, qcache.TableVersion{Table: t, Version: t.Version()})
+					ri.cacheTvs = append(ri.cacheTvs, qcache.TableVersion{Table: t, Version: t.Version()})
 				}
 			}
 		}
 	}
 
 	parts := make([]iter.Iterator, 0, len(p.branches))
-	for _, q := range p.branches {
-		chk := db.checkSpanLocked(ctx, q)
+	for i, q := range p.branches {
+		chk := checks[i]
 		if chk.Covered {
 			plan, err := core.NewPlan(q, chk)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			plan.CollectKeys = cacheable
 			var it iter.Iterator
@@ -188,7 +210,7 @@ func (db *DB) QueryIterContext(ctx context.Context, sql string) (*RowIter, error
 				// cost — which is exactly what the checker promised.
 				rows, pst, err := core.RunParallelContext(ctx, plan, db.par)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				it, cst = iter.FromRows(rows, nil), pst
 			} else {
@@ -210,17 +232,16 @@ func (db *DB) QueryIterContext(ctx context.Context, sql string) (*RowIter, error
 			parts = append(parts, it)
 			continue
 		}
-		cacheable = false
 		// Not covered: partially bounded plan. The bounded sub-query runs
 		// eagerly here (its size is bounded by the access schema); the
 		// conventional join over it streams.
 		pp, err := core.NewPartialPlan(q, chk)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		it, subStats, engStats, err := core.StreamPartialContext(ctx, pp, q, db.fallback, db.par)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ri.res.Stats.Covered = false
 		if pp.Sub != nil {
@@ -228,13 +249,13 @@ func (db *DB) QueryIterContext(ctx context.Context, sql string) (*RowIter, error
 		} else {
 			ri.res.Stats.Mode = ModeConventional
 		}
-		ri.res.Stats.TuplesFetched += subStats.Fetched
-		for _, s := range subStats.Steps {
-			ri.res.Stats.FetchSteps = append(ri.res.Stats.FetchSteps, StepStat(s))
-		}
 		ri.res.Stats.Plan += pp.Describe(q)
 		ri.final = append(ri.final, func() {
+			ri.res.Stats.TuplesFetched += subStats.Fetched
 			ri.res.Stats.TuplesScanned += engStats.Scanned
+			for _, s := range subStats.Steps {
+				ri.res.Stats.FetchSteps = append(ri.res.Stats.FetchSteps, StepStat(s))
+			}
 			for _, o := range engStats.Ops {
 				ri.res.Stats.Ops = append(ri.res.Stats.Ops, OpStat(o))
 			}
@@ -244,7 +265,7 @@ func (db *DB) QueryIterContext(ctx context.Context, sql string) (*RowIter, error
 
 	// UNION semantics: every branch up to the last plain (non-ALL) UNION
 	// shares one duplicate-elimination set; branches after it append
-	// freely. This matches Query's fold of exec.Dedup over the branches.
+	// freely.
 	dedupThrough := -1
 	for i := 1; i < len(p.branches); i++ {
 		if !p.unionAll[i] {
@@ -254,8 +275,6 @@ func (db *DB) QueryIterContext(ctx context.Context, sql string) (*RowIter, error
 	ri.it = &unionIter{parts: parts, dedupThrough: dedupThrough}
 	ri.cacheOK = cacheable
 	ri.cacheKey = tmpl.ResultKey
-	ri.cacheTvs = tvs
-	ri.branches = len(p.branches)
 	if tr, parent := obs.FromContext(ctx); tr != nil {
 		// The stream span measures time spent pulling result batches
 		// through the cursor — including the upstream pipeline; the fetch
@@ -268,12 +287,11 @@ func (db *DB) QueryIterContext(ctx context.Context, sql string) (*RowIter, error
 			)
 		})
 	}
-	ok = true
-	return ri, nil
+	return nil
 }
 
 // Columns returns the output column names.
-func (ri *RowIter) Columns() []string { return ri.columns }
+func (ri *RowIter) Columns() []string { return ri.res.Columns }
 
 // NextBatch returns the next batch of result rows, or nil when the
 // stream is exhausted (the cursor closes itself then). The returned
@@ -301,11 +319,9 @@ func (ri *RowIter) NextBatch() ([]Row, error) {
 	}
 	ri.rowsOut += int64(len(ri.batch.Rows))
 	if ri.cacheOK {
-		// Batch storage is reused between pulls; the cache keeps its own
-		// copy of each row.
-		for _, r := range ri.batch.Rows {
-			ri.cacheRows = append(ri.cacheRows, append(value.Row(nil), r...))
-		}
+		// The batch slice is reused between pulls but the rows are
+		// immutable, so the cache keeps the references.
+		ri.cacheRows = append(ri.cacheRows, ri.batch.Rows...)
 	}
 	return ri.batch.Rows, nil
 }
@@ -351,23 +367,54 @@ func (ri *RowIter) Close() error {
 		ri.storeDrainedLocked()
 	}
 	ri.db.mu.RUnlock()
-	if ri.finish != nil {
-		ri.finish()
-	}
+	ri.finish()
 	if ri.err == nil {
 		ri.err = err
 	}
-	if ri.digests != nil {
-		// Outside the catalog lock: the digest set has its own mutex and
-		// the cursor is single-consumer, so its stats are stable here.
-		ri.digests.Observe(digestObservation(st.Fingerprint, ri.sql, st, ri.rowsOut, ri.err, st.Duration))
-	}
+	// Outside the catalog lock: the digest set has its own mutex and the
+	// cursor is single-consumer, so its stats are stable here.
+	ri.observe(st, ri.err, st.Duration)
 	return err
 }
 
+// observe folds one terminal outcome into the workload digests. st is
+// nil when the statement failed before its cursor opened.
+func (ri *RowIter) observe(st *Stats, err error, dur time.Duration) {
+	if ri.digests == nil {
+		return
+	}
+	var fp string
+	if ri.res != nil {
+		fp = ri.res.Stats.Fingerprint
+	}
+	ri.digests.Observe(digestObservation(fp, ri.sql, st, ri.rowsOut, err, dur))
+}
+
+// drain reads the cursor to exhaustion, which closes it, and returns its
+// Result — with the rows when keep is set, without them otherwise.
+func (ri *RowIter) drain(keep bool) (*Result, error) {
+	defer ri.Close() // releases the catalog read lock even if the pipeline panics
+	for {
+		rows, err := ri.NextBatch()
+		if err != nil {
+			return nil, err
+		}
+		if rows == nil {
+			break
+		}
+		if keep {
+			ri.res.Rows = append(ri.res.Rows, rows...)
+		}
+	}
+	if ri.err != nil {
+		return nil, ri.err
+	}
+	return ri.res, nil
+}
+
 // storeDrainedLocked admits the fully drained answer into the result
-// cache, registering the same per-step probed-key sets, base-table
-// versions and bound guards Query's store path does. Called under
+// cache, registering the per-step probed-key sets, base-table versions
+// and bound guards that patching and invalidation key on. Called under
 // db.mu (read) from Close, with execution statistics already folded.
 func (ri *RowIter) storeDrainedLocked() {
 	var cacheSteps []core.StepStat
@@ -404,7 +451,7 @@ func (ri *RowIter) storeDrainedLocked() {
 			Plan:            st.Plan,
 			Optimized:       st.Optimized,
 		},
-		Branches:    ri.branches,
+		Branches:    len(ri.cacheBr), // a cacheable statement has every branch covered
 		Query:       q0,
 		Plan:        firstPlan,
 		Steps:       regs,

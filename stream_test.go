@@ -7,10 +7,12 @@ import (
 	"testing"
 )
 
-// This file checks the streaming execution core end-to-end: QueryIter
-// must return bit-identical bags to Query on every evaluation mode, and
-// LIMIT queries must terminate the pipeline early instead of
-// materialising the full join.
+// This file checks the streaming execution core end-to-end: cursors
+// must preserve bag multiplicities and report statistics in branch
+// order, and LIMIT queries must terminate the pipeline early instead of
+// materialising the full join. Row-bag equivalence of every drain API
+// against the conventional baselines lives in
+// TestRandomizedCrossEngineEquivalence.
 
 // collectIter drains a cursor through the per-row API.
 func collectIter(t *testing.T, ri *RowIter) []Row {
@@ -32,58 +34,78 @@ func collectIter(t *testing.T, ri *RowIter) []Row {
 	return rows
 }
 
-// TestQueryIterMatchesQuery streams the randomized equivalence corpus
-// through QueryIter and compares against the materialising Query on
-// every evaluation mode (bounded, partially bounded, conventional).
-func TestQueryIterMatchesQuery(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 40; trial++ {
-		db := randomDB(t, rng)
-		for i := 0; i < 15; i++ {
-			sql := randomSQL(rng)
-			res, err := db.Query(sql)
-			if err != nil {
-				t.Fatalf("Query(%q): %v", sql, err)
-			}
-			ri, err := db.QueryIter(sql)
-			if err != nil {
-				t.Fatalf("QueryIter(%q): %v", sql, err)
-			}
-			got := collectIter(t, ri)
-			if !equalBags(bag(res.Rows), bag(got)) {
-				t.Fatalf("QueryIter(%q) bag differs from Query:\n iter: %d rows\n query: %d rows",
-					sql, len(got), len(res.Rows))
-			}
-			if ri.Stats().Mode != res.Stats.Mode {
-				t.Errorf("QueryIter(%q) mode = %s, Query mode = %s", sql, ri.Stats().Mode, res.Stats.Mode)
-			}
+// collectBatches drains a cursor through the batch API, copying out the
+// row references (the batch slice is reused between pulls).
+func collectBatches(t *testing.T, ri *RowIter) []Row {
+	t.Helper()
+	var rows []Row
+	for {
+		batch, err := ri.NextBatch()
+		if err != nil {
+			t.Fatalf("RowIter.NextBatch: %v", err)
 		}
+		if batch == nil {
+			break
+		}
+		rows = append(rows, batch...)
 	}
+	if err := ri.Close(); err != nil {
+		t.Fatalf("RowIter.Close: %v", err)
+	}
+	return rows
 }
 
-// TestQueryIterUnion checks the streamed UNION / UNION ALL semantics
-// (shared dedup up to the last plain UNION) against Query.
-func TestQueryIterUnion(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	db := randomDB(t, rng)
-	for _, sql := range []string{
-		"SELECT a, b FROM r WHERE a = 1 UNION SELECT a, b FROM r WHERE b = 2",
-		"SELECT a, b FROM r WHERE a = 1 UNION ALL SELECT a, b FROM r WHERE a = 1",
-		"SELECT a, b FROM r WHERE a = 1 UNION SELECT a, b FROM r WHERE b = 2 UNION ALL SELECT a, b FROM r WHERE a = 1",
-	} {
-		res, err := db.Query(sql)
-		if err != nil {
-			t.Fatalf("Query(%q): %v", sql, err)
+// TestUnionFetchStepsBranchOrder: per-branch fetch statistics fold in
+// branch order whatever each branch's evaluation mode, so FetchSteps[i]
+// lines up with the plan text. The covered branch fetches one tuple,
+// the partially bounded branch's sub-query two.
+func TestUnionFetchStepsBranchOrder(t *testing.T) {
+	db := NewDB()
+	db.MustCreateTable("call", "pnum INT", "date INT", "recnum INT", "region STRING")
+	db.MustCreateTable("note", "recnum INT", "txt STRING")
+	db.MustInsert("call", 1, 1, 10, "east")
+	db.MustInsert("call", 2, 2, 20, "west")
+	db.MustInsert("call", 2, 2, 21, "west")
+	db.MustInsert("note", 20, "a")
+	db.MustInsert("note", 21, "b")
+	db.MustRegisterConstraint("call({pnum, date} -> {recnum, region}, 10)")
+	sql := "SELECT recnum FROM call WHERE pnum = 1 AND date = 1 UNION ALL " +
+		"SELECT call.recnum FROM call, note WHERE call.pnum = 2 AND call.date = 2 AND note.recnum = call.recnum"
+
+	check := func(api string, mode Mode, fetched []int64) {
+		t.Helper()
+		if mode != ModePartial {
+			t.Errorf("%s: mode = %s, want %s", api, mode, ModePartial)
 		}
-		ri, err := db.QueryIter(sql)
-		if err != nil {
-			t.Fatalf("QueryIter(%q): %v", sql, err)
-		}
-		got := collectIter(t, ri)
-		if !equalBags(bag(res.Rows), bag(got)) {
-			t.Fatalf("QueryIter(%q): %d rows, Query: %d rows", sql, len(got), len(res.Rows))
+		if len(fetched) != 2 || fetched[0] != 1 || fetched[1] != 2 {
+			t.Errorf("%s: FetchSteps fetched = %v, want [1 2] (branch order)", api, fetched)
 		}
 	}
+	ri, err := db.QueryIter(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := collectBatches(t, ri); len(rows) != 3 {
+		t.Fatalf("QueryIter: %d rows, want 3", len(rows))
+	}
+	var fetched []int64
+	for _, s := range ri.Stats().FetchSteps {
+		fetched = append(fetched, s.Fetched)
+	}
+	check("QueryIter", ri.Stats().Mode, fetched)
+
+	ea, err := db.ExplainAnalyze(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ea.Rows != 3 {
+		t.Fatalf("ExplainAnalyze: %d rows, want 3", ea.Rows)
+	}
+	fetched = fetched[:0]
+	for _, s := range ea.Steps {
+		fetched = append(fetched, s.ActualFetched)
+	}
+	check("ExplainAnalyze", ea.Mode, fetched)
 }
 
 // TestQueryIterWeightedBags checks bag multiplicities survive streaming
